@@ -1,6 +1,8 @@
 package polyhedra
 
 import (
+	"math/bits"
+
 	"repro/internal/arena"
 	"repro/internal/budget"
 )
@@ -97,14 +99,13 @@ type cone struct {
 	ar *arena.Arena
 
 	// Per-cone scratch reused across add calls, so the classification and
-	// dedup steps stop allocating once warm. spare double-buffers the ray
-	// slice: each add builds its successor ray set in spare and swaps, so
-	// the old backing is recycled instead of reallocated.
+	// adjacency steps stop allocating once warm. spare double-buffers the
+	// ray slice: each add builds its successor ray set in spare and swaps,
+	// so the old backing is recycled instead of reallocated. common holds
+	// the saturation intersection of the pair under the adjacency test.
 	spare             []satRay
 	plusBuf, minusBuf []classified
-	dedupIdx          map[uint64]int32
-	dedupKeys         []byte
-	dedupEnds         []int32
+	common            bitset
 }
 
 // classified pairs a ray with its index and its product against the
@@ -157,6 +158,13 @@ func satAllPrev(ar *arena.Arena, n int) bitset {
 // add incorporates the constraint r into the generator description
 // (Chernikova's algorithm). It reports whether the constraint was applied
 // (false when the ray cap forced it to be dropped, which over-approximates).
+//
+// The result needs no duplicate check. Every ray's saturation bitset is
+// exact over the applied constraints, so the adjacency test is exact, and
+// the positive combination of an adjacent (plus, minus) pair lies in the
+// relative interior of a unique 2-face of the old cone: it equals neither
+// another new ray nor a kept one. Hence a dropped constraint must leave no
+// saturation bit behind — its index is reused by the next constraint.
 func (c *cone) add(r row) bool {
 	idx := c.ncons
 	c.ncons++
@@ -175,7 +183,9 @@ func (c *cone) add(r row) bool {
 			old.release(c.ar) // negation copied; the original backing is dead
 		}
 		c.lines = append(c.lines[:i], c.lines[i+1:]...)
-		for j, l2 := range c.lines {
+		// The scan above found the lines before i orthogonal.
+		for j := i; j < len(c.lines); j++ {
+			l2 := c.lines[j]
 			p2 := dot(r.v, l2)
 			if p2.sign() != 0 {
 				c.lines[j] = combine(c.ar, p, l2, p2.neg(), l)
@@ -210,23 +220,12 @@ func (c *cone) add(r row) bool {
 		p := dot(r.v, ry.v)
 		switch p.sign() {
 		case 0:
-			ry.sat.set(idx)
 			keep = append(keep, ry)
 		case 1:
 			plus = append(plus, classified{i, ry, p})
 		default:
 			minus = append(minus, classified{i, ry, p})
 		}
-	}
-	if len(minus) == 0 && !r.eq {
-		// Constraint already satisfied by all rays.
-		for _, pl := range plus {
-			keep = append(keep, pl.ray)
-		}
-		c.plusBuf, c.minusBuf = plus, minus
-		c.spare = c.rays[:0]
-		c.rays = keep
-		return true
 	}
 	if c.maxRays > 0 && len(plus)*len(minus) > c.maxRays {
 		// The combination step would explode; drop the constraint
@@ -237,8 +236,9 @@ func (c *cone) add(r row) bool {
 		c.dropped++
 		return false
 	}
-	if c.token.Exhausted() {
-		// Budget exhausted: stop refining and drop the constraint. Like
+	if (len(minus) > 0 || r.eq) && c.token.Exhausted() {
+		// Budget exhausted: stop refining and drop the constraint (one
+		// that every ray already satisfies costs nothing to apply). Like
 		// the ray cap this only grows the represented set, so the
 		// degraded result stays a sound over-approximation. Not counted
 		// in dropped: budget drops depend on wall-clock timing and must
@@ -248,6 +248,9 @@ func (c *cone) add(r row) bool {
 		return false
 	}
 
+	for i := range keep {
+		keep[i].sat.set(idx)
+	}
 	newRays := keep
 	if !r.eq {
 		for _, pl := range plus {
@@ -256,9 +259,10 @@ func (c *cone) add(r row) bool {
 	}
 	// Combine adjacent (plus, minus) pairs onto the hyperplane.
 	allRays := c.rays
+	minCommon := c.dim - len(c.lines) - 2
 	for _, pl := range plus {
 		for _, mi := range minus {
-			if !adjacent(c.ar, pl.idx, mi.idx, allRays) {
+			if !c.adjacent(pl.idx, mi.idx, allRays, minCommon) {
 				continue
 			}
 			// w = p_plus * minus - p_minus * plus (positive combination).
@@ -272,7 +276,7 @@ func (c *cone) add(r row) bool {
 			newRays = append(newRays, satRay{v: w, sat: sat})
 		}
 	}
-	c.rays = c.dedupRays(newRays)
+	c.rays = newRays
 	c.spare = allRays[:0]
 	c.plusBuf, c.minusBuf = plus, minus
 	// The minus rays never survive the constraint; plus rays survive only
@@ -293,81 +297,30 @@ func (c *cone) add(r row) bool {
 
 // adjacent implements the combinatorial adjacency test: rays i1 and i2 are
 // adjacent iff no other ray saturates every constraint they both saturate.
-func adjacent(ar *arena.Arena, i1, i2 int, all []satRay) bool {
-	common := all[i1].sat.and(ar, all[i2].sat)
-	adj := true
+// The intersection is built in the cone's scratch. A pair saturating fewer
+// than minCommon (cone dimension minus lineality minus 2) common
+// constraints is rejected without the scan: the constraints tight on a
+// 2-face have at least that rank (Fukuda–Prodon), so the count is
+// necessary for adjacency and the scan decides every pair that meets it.
+func (c *cone) adjacent(i1, i2 int, all []satRay, minCommon int) bool {
+	a, b := all[i1].sat, all[i2].sat
+	common := c.common[:0]
+	n := 0
+	for k := 0; k < len(a) && k < len(b); k++ {
+		w := a[k] & b[k]
+		common = append(common, w)
+		n += bits.OnesCount64(w)
+	}
+	c.common = common
+	if n < minCommon {
+		return false
+	}
 	for i := range all {
-		if i == i1 || i == i2 {
-			continue
-		}
-		if common.subsetOf(all[i].sat) {
-			adj = false
-			break
+		if i != i1 && i != i2 && common.subsetOf(all[i].sat) {
+			return false
 		}
 	}
-	common.release(ar)
-	return adj
-}
-
-// dedupRays normalizes every ray and drops duplicates, keyed by the
-// canonical (tier-independent) value encoding of the normalized row.
-// Dropped duplicates are released to the arena. Kept keys live in the
-// cone's reused scratch (concatenated bytes plus end offsets) indexed by
-// an open-addressed hash map of the key bytes, so the steady state
-// allocates nothing — a map[string]bool here previously accounted for
-// more than half of the join benchmark's allocations.
-func (c *cone) dedupRays(rays []satRay) []satRay {
-	out := rays[:0]
-	if c.dedupIdx == nil {
-		c.dedupIdx = make(map[uint64]int32, 2*len(rays))
-	} else {
-		clear(c.dedupIdx)
-	}
-	keys := c.dedupKeys[:0]
-	ends := c.dedupEnds[:0]
-	for i := range rays {
-		rays[i].v = rays[i].v.normalize()
-		start := len(keys)
-		keys = rays[i].v.appendKey(keys)
-		key := keys[start:]
-		dup := false
-		for h := fnv1a(key); ; h++ {
-			j, ok := c.dedupIdx[h]
-			if !ok {
-				c.dedupIdx[h] = int32(len(ends))
-				break
-			}
-			ks := 0
-			if j > 0 {
-				ks = int(ends[j-1])
-			}
-			if string(keys[ks:ends[j]]) == string(key) {
-				dup = true
-				break
-			}
-			// Genuine 64-bit hash collision: probe the next slot.
-		}
-		if dup {
-			keys = keys[:start]
-			rays[i].v.release(c.ar)
-			rays[i].sat.release(c.ar)
-			continue
-		}
-		ends = append(ends, int32(len(keys)))
-		out = append(out, rays[i])
-	}
-	c.dedupKeys, c.dedupEnds = keys, ends
-	return out
-}
-
-// fnv1a is the 64-bit FNV-1a hash of b.
-func fnv1a(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, x := range b {
-		h ^= uint64(x)
-		h *= 1099511628211
-	}
-	return h
+	return true
 }
 
 // result extracts the plain generator set. The saturation bitsets are

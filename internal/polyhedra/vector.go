@@ -515,12 +515,3 @@ func (b bitset) subsetOf(c bitset) bool {
 	}
 	return true
 }
-
-func (b bitset) equalUpTo(c bitset, n int) bool {
-	for i := 0; i < n; i++ {
-		if b.get(i) != c.get(i) {
-			return false
-		}
-	}
-	return true
-}

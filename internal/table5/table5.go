@@ -70,7 +70,9 @@ type Row struct {
 	IPVars   int
 	IPSize   int
 	CPU      time.Duration
-	Space    uint64
+	// Space is 0 when it was not measured (Workers != 1; see
+	// core.ProcReport.Space); Format renders that as n/a.
+	Space uint64
 	// Message classification under manual contracts.
 	Msgs        int
 	Errors      int
@@ -229,9 +231,9 @@ func Format(rows []Row, withDerive bool, withCertify ...bool) string {
 	}
 	sb.WriteString(strings.Repeat("-", width) + "\n")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-22s %5d %5d %-6s | %6d %7d %9s %8.1fM | %4d %4d %5d",
+		fmt.Fprintf(&sb, "%-10s %-22s %5d %5d %-6s | %6d %7d %9s %9s | %4d %4d %5d",
 			r.Suite, r.Function, r.LOC, r.SLOC, r.Contract,
-			r.IPVars, r.IPSize, fmtDur(r.CPU), float64(r.Space)/1e6,
+			r.IPVars, r.IPSize, fmtDur(r.CPU), fmtSpace(r.Space),
 			r.Msgs, r.Errors, r.FalseAlarms)
 		if certify {
 			fmt.Fprintf(&sb, " | %4d %5d %4d %4d", r.Certified, r.CertFailed, r.Witnessed, r.Potential)
@@ -246,6 +248,15 @@ func Format(rows []Row, withDerive bool, withCertify ...bool) string {
 
 func fmtDur(d time.Duration) string {
 	return d.Round(time.Millisecond).String()
+}
+
+// fmtSpace renders a heap-allocation figure in MB, or n/a when the driver
+// did not measure it.
+func fmtSpace(b uint64) string {
+	if b == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1fM", float64(b)/1e6)
 }
 
 // Summary aggregates the headline numbers of paper §1.3 / §5.

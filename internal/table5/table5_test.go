@@ -106,6 +106,23 @@ func TestFormatAndSummary(t *testing.T) {
 	}
 }
 
+// TestFormatSpace pins both renderings of the Space column: a measured
+// figure in MB, and n/a for a row whose Space the driver did not measure
+// (any run with Workers != 1).
+func TestFormatSpace(t *testing.T) {
+	rows := []Row{
+		{Suite: "s", Function: "measured", Space: 97_400_000},
+		{Suite: "s", Function: "unmeasured"},
+	}
+	lines := strings.Split(Format(rows, false), "\n")
+	if got := lines[2]; !strings.Contains(got, "    97.4M |") {
+		t.Errorf("measured row: %q", got)
+	}
+	if got := lines[3]; !strings.Contains(got, "      n/a |") || strings.Contains(got, "0.0M") {
+		t.Errorf("unmeasured row: %q", got)
+	}
+}
+
 func TestExpectedManifest(t *testing.T) {
 	// Every benchmark function has a ground-truth record; totals match the
 	// paper's headline.
