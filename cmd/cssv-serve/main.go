@@ -46,8 +46,7 @@ func main() {
 		contracts = flag.String("contracts", "", "client mode: contract mode (default manual)")
 		cascade   = flag.Bool("cascade", false, "client mode: discharge checks in tiers")
 		certify   = flag.Bool("certify", false, "client mode: verify invariant certificates")
-		octagon   = flag.Bool("octagon", false, "client mode: insert the octagon tier (implies -cascade)")
-		schedMode = flag.String("schedule", "", "client mode: cascade tier scheduler (off, static, adaptive)")
+		schedMode = flag.String("schedule", "", "client mode: cascade tier scheduler (off, adaptive)")
 		stats     = flag.Bool("stats", false, "client mode: print per-procedure statistics")
 		quiet     = flag.Bool("q", false, "client mode: suppress warnings")
 	)
@@ -61,7 +60,6 @@ func main() {
 			Contracts: *contracts,
 			Cascade:   *cascade,
 			Certify:   *certify,
-			Octagon:   *octagon,
 			Schedule:  *schedMode,
 			Stats:     *stats,
 			Quiet:     *quiet,

@@ -72,7 +72,7 @@ type suiteResult struct {
 func main() {
 	var (
 		jsonOut   = flag.Bool("json", false, "emit the machine-readable suite report on stdout instead of per-task lines")
-		schedMode = flag.String("schedule", "off", "cascade tier scheduler: off, static, adaptive")
+		schedMode = flag.String("schedule", "off", "cascade tier scheduler: off, adaptive")
 		schedProf = flag.String("schedule-profile", "", "directory for the on-disk scheduler profile (default: <cache-dir>/schedule when -cache-dir is set)")
 		cacheDir  = flag.String("cache-dir", "", "directory for the on-disk analysis cache shared across tasks")
 		jobs      = flag.Int("j", 0, "procedures analyzed in parallel per task (0 = all CPUs)")
@@ -80,7 +80,6 @@ func main() {
 		pointer   = flag.String("pointer", "inclusion", "pointer analysis: inclusion, unification")
 		target    = flag.String("target", "paper32", "object-layout data model: paper32, sysv64")
 		contracts = flag.String("contracts", "manual", "contract mode: manual, vacuous, auto")
-		octagon   = flag.Bool("octagon", false, "insert the octagon tier between zone and the final domain")
 		timeout   = flag.Duration("proc-timeout", 0, "wall-clock budget per procedure (0 = unlimited)")
 		steps     = flag.Int("step-budget", 0, "fixpoint iteration budget per procedure (0 = unlimited)")
 	)
@@ -107,7 +106,6 @@ func main() {
 		Target:          *target,
 		Contracts:       *contracts,
 		Cascade:         true,
-		Octagon:         *octagon,
 		Workers:         *jobs,
 		ProcTimeout:     *timeout,
 		StepBudget:      *steps,

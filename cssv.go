@@ -119,10 +119,6 @@ type Config struct {
 	// negative = unlimited); drops at the cap are counted in
 	// RunStats.PrecisionDrops.
 	MaxRays int
-	// Octagon inserts the octagon tier (±x±y difference constraints on a
-	// doubled-variable DBM) between the zone tier and the final domain.
-	// The tier lives in the cascade, so setting it implies Cascade.
-	Octagon bool
 	// NoArena disables the per-procedure slice arenas that recycle
 	// numeric-substrate storage. On by default; the toggle exists for
 	// debugging and ablation.
@@ -143,19 +139,13 @@ type Config struct {
 	// accounting of every exact cache hit before trusting it (paranoid
 	// mode; integrity digests are always verified regardless).
 	CacheVerify bool
-	// PtCacheSize bounds the process-wide pointer-analysis memo (0 = the
-	// 128-entry default, negative = unbounded). Overflow evicts oldest
-	// entries first; evictions appear in RunStats.PtCacheEvictions.
-	PtCacheSize int
 	// Schedule selects the cascade's tier scheduling: "off" (default, or
-	// empty) runs the fixed interval→zone→…→final cascade through the
-	// legacy code path with byte-identical reports; "static" routes every
-	// check through the scheduler with the fixed plan (deterministic
-	// exercise of the scheduled path); "adaptive" plans per-check tier
-	// order and per-tier step budgets from static slice features and the
-	// recorded cross-run profile. Scheduling redistributes cost only: the
-	// final domain always runs last and unbudgeted, so no verdict can
-	// change. A non-off mode implies Cascade.
+	// empty) runs every check through the fixed interval→zone→final
+	// cascade; "adaptive" plans per-check tier order and per-tier step
+	// budgets from static slice features and the recorded cross-run
+	// profile. Scheduling redistributes cost only: the final domain always
+	// runs last and unbudgeted, so no verdict can change. A non-off mode
+	// implies Cascade.
 	Schedule string
 	// ScheduleProfile is the directory for the adaptive scheduler's
 	// cross-run outcome profiles. Empty defaults to <CacheDir>/schedule
@@ -387,11 +377,10 @@ type RunStats struct {
 	// versus sites where a channel was abandoned (unknown target, untracked
 	// offset, or the legacy wide-store terminator havoc).
 	MemberResolved, MemberHavocked int
-	// ScheduleMode names the cascade scheduling mode of the run ("off",
-	// "static", "adaptive"). ScheduleDecisions counts the plans the
-	// scheduler applied across procedures; ScheduleFromProfile how many
-	// were steered by the recorded profile rather than the static
-	// fallback.
+	// ScheduleMode names the cascade scheduling mode of the run ("off" or
+	// "adaptive"). ScheduleDecisions counts the plans the scheduler applied
+	// across procedures; ScheduleFromProfile how many were steered by the
+	// recorded profile rather than the static fallback.
 	ScheduleMode        string
 	ScheduleDecisions   int
 	ScheduleFromProfile int
@@ -468,15 +457,13 @@ func (cfg Config) driverOptions() (core.Options, error) {
 		return core.Options{}, fmt.Errorf("cssv: %v", err)
 	}
 	opts := core.Options{
-		// The scheduler lives in the cascade, so a non-off mode implies it
-		// (like Octagon).
-		Cascade:         cfg.Cascade || cfg.Octagon || schedMode != schedule.Off,
+		// The scheduler lives in the cascade, so a non-off mode implies it.
+		Cascade:         cfg.Cascade || schedMode != schedule.Off,
 		Schedule:        schedMode,
 		ScheduleProfile: cfg.ScheduleProfile,
 		Certify:         cfg.Certify,
 		CacheDir:        cfg.CacheDir,
 		CacheVerify:     cfg.CacheVerify,
-		PtCacheSize:     cfg.PtCacheSize,
 		Procs:           cfg.Procedures,
 		NoLibc:          cfg.NoLibc,
 		Workers:         cfg.Workers,
@@ -484,7 +471,6 @@ func (cfg Config) driverOptions() (core.Options, error) {
 		ProcDeadline:    cfg.ProcTimeout,
 		StepBudget:      cfg.StepBudget,
 		MaxRays:         cfg.MaxRays,
-		Octagon:         cfg.Octagon,
 		NoArena:         cfg.NoArena,
 		PPT:             ppt.Options{DisableMerging: cfg.DisablePPTMerging},
 		C2IP: c2ip.Options{

@@ -170,32 +170,68 @@ func TestCertifyResultSkipsViolated(t *testing.T) {
 	}
 }
 
+// buildSumProgram needs the relational bound x + y <= 10 to prove its
+// assert: with neither variable individually bounded, intervals learn
+// nothing and zones cannot represent the sum, so only the polyhedra tier
+// discharges the check.
+func buildSumProgram() *ip.Program {
+	p := ip.New("sum")
+	x := p.Space.Var("x")
+	y := p.Space.Var("y")
+	sum := linear.ConstExpr(10)
+	sum.AddTerm(x, -1)
+	sum.AddTerm(y, -1) // 10 - x - y >= 0
+	p.Emit(&ip.Assume{C: ip.Single(linear.NewGe(sum))})
+	slack := linear.ConstExpr(12)
+	slack.AddTerm(x, -1)
+	slack.AddTerm(y, -1) // 12 - x - y >= 0
+	p.Emit(&ip.Assert{C: ip.Single(linear.NewGe(slack)), Msg: "x + y <= 12"})
+	return p
+}
+
 // TestCascadeCertificates: every check the cascade discharges (across all
 // tiers) carries a certificate that verifies, with correct original-index
 // mapping.
 func TestCascadeCertificates(t *testing.T) {
-	for _, dom := range []Domain{PolyDomain{}, ZoneDomain{}, IntervalDomain{}} {
-		res, err := AnalyzeCascade(buildLoop(true), Options{Domain: dom, Certify: true})
+	loop := func() *ip.Program { return buildLoop(true) }
+	for _, in := range []struct {
+		name  string
+		build func() *ip.Program
+		dom   Domain
+		certs int
+		// tier, when set, is the tier that must discharge every check.
+		tier string
+	}{
+		{"loop", loop, PolyDomain{}, 2, ""},
+		{"loop", loop, ZoneDomain{}, 2, ""},
+		{"loop", loop, IntervalDomain{}, 2, ""},
+		{"sum", buildSumProgram, PolyDomain{}, 1, "polyhedra"},
+	} {
+		tag := in.name + "/" + in.dom.Name()
+		res, err := AnalyzeCascade(in.build(), Options{Domain: in.dom, Certify: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res.Violations) != 0 {
-			t.Fatalf("[%s] unexpected violations: %v", dom.Name(), res.Violations)
+			t.Fatalf("[%s] unexpected violations: %v", tag, res.Violations)
 		}
-		if len(res.Certificates) != 2 {
-			t.Fatalf("[%s] want 2 certificates, got %d", dom.Name(), len(res.Certificates))
+		if len(res.Certificates) != in.certs {
+			t.Fatalf("[%s] want %d certificates, got %d", tag, in.certs, len(res.Certificates))
 		}
-		orig := buildLoop(true)
+		orig := in.build()
 		for _, cert := range res.Certificates {
 			if err := cert.Verify(); err != nil {
-				t.Errorf("[%s] certificate for %q rejected: %v", dom.Name(), cert.Check.Msg, err)
+				t.Errorf("[%s] certificate for %q rejected: %v", tag, cert.Check.Msg, err)
+			}
+			if in.tier != "" && cert.Check.Tier != in.tier {
+				t.Errorf("[%s] %q discharged by %s, want %s", tag, cert.Check.Msg, cert.Check.Tier, in.tier)
 			}
 			// The mapped-back index must point at an assert with the same
 			// message in the original program.
 			a, ok := orig.Stmts[cert.Check.OrigIndex].(*ip.Assert)
 			if !ok || a.Msg != cert.Check.Msg {
 				t.Errorf("[%s] OrigIndex %d does not name assert %q",
-					dom.Name(), cert.Check.OrigIndex, cert.Check.Msg)
+					tag, cert.Check.OrigIndex, cert.Check.Msg)
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/interval"
 	"repro/internal/linear"
-	"repro/internal/octagon"
 	"repro/internal/polyhedra"
 	"repro/internal/zone"
 )
@@ -64,10 +63,8 @@ func (d ZoneDomain) Bottom(n int) State { return zoneState{d.Config.Bottom(n)} }
 
 // WithSubstrate returns d reconfigured with the given per-run substrate
 // configs: a PolyDomain (or nil, the default) becomes PolyDomain{pc}, a
-// ZoneDomain becomes ZoneDomain{zc}, an OctagonDomain becomes
-// OctagonDomain{zc} (octagons are configured by the zone Config of the
-// raw matrix they build on); any other domain — intervals, custom test
-// domains — is returned unchanged.
+// ZoneDomain becomes ZoneDomain{zc}; any other domain — intervals,
+// custom test domains — is returned unchanged.
 func WithSubstrate(d Domain, pc *polyhedra.Config, zc *zone.Config) Domain {
 	switch d.(type) {
 	case nil:
@@ -76,8 +73,6 @@ func WithSubstrate(d Domain, pc *polyhedra.Config, zc *zone.Config) Domain {
 		return PolyDomain{Config: pc}
 	case ZoneDomain:
 		return ZoneDomain{Config: zc}
-	case OctagonDomain:
-		return OctagonDomain{Config: zc}
 	}
 	return d
 }
@@ -107,43 +102,3 @@ func (s zoneState) String(sp *linear.Space) string    { return s.d.String(sp) }
 
 // StateKey implements stateKeyer.
 func (s zoneState) StateKey() (string, bool) { return s.d.Key() }
-
-// OctagonDomain is the octagon domain of Miné (±x ± y <= c), slotted
-// between zones and polyhedra in the ablation cascade. It is configured
-// by a *zone.Config: the octagon is a doubled-variable raw DBM, so the
-// zone substrate's budget token, kernel tier, representation policy and
-// arena govern it directly.
-type OctagonDomain struct {
-	Config *zone.Config
-}
-
-// Name implements Domain.
-func (OctagonDomain) Name() string { return "octagon" }
-
-// Universe implements Domain.
-func (d OctagonDomain) Universe(n int) State { return octState{octagon.Universe(d.Config, n)} }
-
-// Bottom implements Domain.
-func (d OctagonDomain) Bottom(n int) State { return octState{octagon.Bottom(d.Config, n)} }
-
-type octState struct{ o *octagon.Oct }
-
-func (s octState) Clone() State              { return octState{s.o.Clone()} }
-func (s octState) Join(o State) State        { return octState{s.o.Join(o.(octState).o)} }
-func (s octState) Widen(o State) State       { return octState{s.o.Widen(o.(octState).o)} }
-func (s octState) WidenSimple(o State) State { return octState{s.o.Widen(o.(octState).o)} }
-func (s octState) MeetSystem(sys linear.System) State {
-	return octState{s.o.MeetSystem(sys)}
-}
-func (s octState) Assign(v int, e linear.Expr) State { return octState{s.o.Assign(v, e)} }
-func (s octState) Havoc(v int) State                 { return octState{s.o.Havoc(v)} }
-func (s octState) Includes(o State) bool             { return s.o.Includes(o.(octState).o) }
-func (s octState) IsEmpty() bool                     { return s.o.IsEmpty() }
-func (s octState) Entails(c linear.Constraint) bool  { return s.o.Entails(c) }
-func (s octState) System() linear.System             { return s.o.System() }
-func (s octState) Sample() []*big.Rat                { return s.o.Sample() }
-func (s octState) Bounds(v int) (lo, hi *big.Rat)    { return s.o.Bounds(v) }
-func (s octState) String(sp *linear.Space) string    { return s.o.String(sp) }
-
-// StateKey implements stateKeyer.
-func (s octState) StateKey() (string, bool) { return s.o.Key() }

@@ -64,21 +64,17 @@ type Options struct {
 	// the tier for the affected checks instead of reporting them
 	// unresolved, so a tier budget can only cost time, never verdicts.
 	TierToken *budget.Token
-	// Planner, when non-nil with a mode other than schedule.Off, routes
-	// AnalyzeCascade through the scheduled path: per-check feature
-	// extraction, plan groups, per-tier ordering and budgets.
+	// Planner, when non-nil, plans AnalyzeCascade's tiers per check:
+	// per-check feature extraction, plan groups, per-tier ordering and
+	// budgets. With no planner every check runs the fixed tier order.
 	Planner *schedule.Planner
-	// Recorder, when non-nil, receives the scheduled cascade's
+	// Recorder, when non-nil alongside Planner, receives the cascade's
 	// per-(bucket, tier) outcomes for the cross-run profile. It is not
 	// safe for concurrent use; the driver gives each procedure its own.
 	Recorder *schedule.Recorder
 	// ZoneConfig configures the zone tier AnalyzeCascade constructs
 	// internally (the final domain arrives pre-configured via Domain).
 	ZoneConfig *zone.Config
-	// Octagon inserts the octagon tier between the zone tier and the
-	// final domain in AnalyzeCascade. The tier shares ZoneConfig (its
-	// matrix is the zone substrate's raw DBM).
-	Octagon bool
 }
 
 func (o *Options) fill() {

@@ -92,8 +92,8 @@ func confFingerprint(opts Options) string {
 	fmt.Fprintf(h, "target=%d pointer=%d domain=%s\n", opts.Target, opts.PointerMode, dom.Name())
 	fmt.Fprintf(h, "ppt=%+v\n", opts.PPT)
 	fmt.Fprintf(h, "c2ip=%+v\n", opts.C2IP)
-	fmt.Fprintf(h, "widen=%d narrow=%d cascade=%v octagon=%v maxrays=%d\n",
-		opts.WideningDelay, opts.NarrowingPasses, opts.Cascade, opts.Octagon, opts.MaxRays)
+	fmt.Fprintf(h, "widen=%d narrow=%d cascade=%v maxrays=%d\n",
+		opts.WideningDelay, opts.NarrowingPasses, opts.Cascade, opts.MaxRays)
 	fmt.Fprintf(h, "nolibc=%v nosideeffect=%v contracts=%d\n",
 		opts.NoLibc, opts.NoSideEffectCheck, opts.Contracts)
 	// The schedule mode participates because cached entries replay tier

@@ -88,10 +88,6 @@ type Options struct {
 	// package default, negative = unlimited). Replaces the old mutable
 	// polyhedra.MaxRays package global.
 	MaxRays int
-	// Octagon inserts the octagon tier (±x±y constraints on a
-	// doubled-variable DBM) between the zone tier and the final domain.
-	// Only meaningful with Cascade.
-	Octagon bool
 	// NoArena disables the per-procedure slice arenas that recycle
 	// numeric-substrate storage (DBM rows, generator vectors, saturation
 	// bitsets). The arena is on by default; the toggle exists for
@@ -119,17 +115,12 @@ type Options struct {
 	// re-proved and assert accounting re-checked before the entry is
 	// trusted (paranoid mode; the integrity digests are always checked).
 	CacheVerify bool
-	// PtCacheSize bounds the process-wide pointer-analysis memo
-	// (0 = the 128-entry default, negative = unbounded). Overflow evicts
-	// the oldest entries first; evictions are surfaced in RunStats.
-	PtCacheSize int
 	// Schedule selects how the cascade orders its tiers (only meaningful
-	// with Cascade): Off (default) runs the legacy fixed cascade through
-	// the legacy code path, byte-identical reports; Static routes every
-	// check through the scheduler with the fixed plan; Adaptive plans
-	// per-check tier order and step budgets from the on-disk outcome
-	// profile. Scheduling moves cost, never verdicts: the final domain
-	// always runs last and unbudgeted on whatever remains.
+	// with Cascade): Off (default) runs every check through the fixed
+	// tier order; Adaptive plans per-check tier order and step budgets
+	// from the on-disk outcome profile. Scheduling moves cost, never
+	// verdicts: the final domain always runs last and unbudgeted on
+	// whatever remains.
 	Schedule schedule.Mode
 	// ScheduleProfile is the directory holding the scheduler's cross-run
 	// outcome profiles (content-addressed by configuration, like cache
@@ -297,11 +288,11 @@ type RunStats struct {
 	// abandoned (unknown target, untracked offset, or the legacy wide-store
 	// terminator havoc). Content-only counts, hence deterministic.
 	MemberResolved, MemberHavocked int
-	// ScheduleMode names the cascade scheduling mode of the run ("off",
-	// "static", "adaptive"). ScheduleDecisions counts the plans the
-	// scheduler applied across all procedures; ScheduleFromProfile how
-	// many of them were steered by the recorded profile rather than the
-	// static fallback. Zero/empty when scheduling is off or the cascade
+	// ScheduleMode names the cascade scheduling mode of the run ("off" or
+	// "adaptive"). ScheduleDecisions counts the plans the scheduler
+	// applied across all procedures; ScheduleFromProfile how many of them
+	// were steered by the recorded profile rather than the static
+	// fallback. Zero/empty when scheduling is off or the cascade
 	// did not run.
 	ScheduleMode        string
 	ScheduleDecisions   int
@@ -446,7 +437,7 @@ func AnalyzeSource(filename, src string, opts Options) (*Report, error) {
 			}
 			prof = loaded
 		}
-		planner = schedule.NewPlanner(opts.Schedule, cascadeTierNames(opts), prof)
+		planner = schedule.NewPlanner(analysis.TierNames(opts.Domain), prof)
 		recorders = make([]*schedule.Recorder, len(procs))
 		for i := range recorders {
 			recorders[i] = schedule.NewRecorder()
@@ -541,29 +532,6 @@ func scheduleProfileDir(opts Options) string {
 		return filepath.Join(opts.CacheDir, "schedule")
 	}
 	return ""
-}
-
-// cascadeTierNames mirrors AnalyzeCascade's tier construction: interval,
-// zone, octagon when enabled, the final domain last — with any cheap tier
-// that coincides with the final domain dropped. The planner's static
-// order must match the cascade's or plans would name tiers that never
-// run.
-func cascadeTierNames(opts Options) []string {
-	final := "polyhedra"
-	if opts.Domain != nil {
-		final = opts.Domain.Name()
-	}
-	cheap := []string{"interval", "zone"}
-	if opts.Octagon {
-		cheap = append(cheap, "octagon")
-	}
-	var names []string
-	for _, n := range cheap {
-		if n != final {
-			names = append(names, n)
-		}
-	}
-	return append(names, final)
 }
 
 // guardedAnalyzeProc isolates a panicking per-procedure pipeline: the
@@ -723,7 +691,7 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 	// pointer result is memoized process-wide (read-only for all
 	// consumers), so procedures whose inlining leaves the global points-to
 	// input unchanged — and repeated runs — share one analysis.
-	g, hit, evicted := cachedPointerAnalyze(nprog, opts.PointerMode, opts.PtCacheSize)
+	g, hit, evicted := cachedPointerAnalyze(nprog, opts.PointerMode, defaultPtCacheMax)
 	if hit {
 		rc.ptHits.Add(1)
 	} else {
@@ -806,7 +774,6 @@ func analyzeProc(orig *cast.File, prog *corec.Program, name string, opts Options
 			Certify:         opts.Certify || cacheable,
 			Token:           tok,
 			ZoneConfig:      zcfg,
-			Octagon:         opts.Octagon,
 			Planner:         planner,
 			Recorder:        rec,
 		}

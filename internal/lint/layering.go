@@ -26,7 +26,6 @@ var LayerRules = []LayerRule{
 			ModulePath + "/internal/polyhedra",
 			ModulePath + "/internal/analysis",
 			ModulePath + "/internal/zone",
-			ModulePath + "/internal/octagon",
 			ModulePath + "/internal/interval",
 			ModulePath + "/internal/numkernel",
 			ModulePath + "/internal/arena",
@@ -50,16 +49,6 @@ var LayerRules = []LayerRule{
 	},
 	{
 		Pkg: ModulePath + "/internal/zone",
-		Deny: []string{
-			ModulePath + "/internal/core",
-			ModulePath + "/internal/analysis",
-			ModulePath + "/internal/table5",
-			ModulePath + "/internal/c2ip",
-		},
-		Why: "numeric substrates stay below the engine and driver layers; per-run state reaches them only through Config",
-	},
-	{
-		Pkg: ModulePath + "/internal/octagon",
 		Deny: []string{
 			ModulePath + "/internal/core",
 			ModulePath + "/internal/analysis",
@@ -94,7 +83,6 @@ var LayerRules = []LayerRule{
 			ModulePath + "/internal/analysis",
 			ModulePath + "/internal/polyhedra",
 			ModulePath + "/internal/zone",
-			ModulePath + "/internal/octagon",
 			ModulePath + "/internal/interval",
 			ModulePath + "/internal/numkernel",
 			ModulePath + "/internal/core",

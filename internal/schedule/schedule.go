@@ -26,14 +26,9 @@ import (
 type Mode int
 
 const (
-	// Off runs the fixed cheapest-to-most-precise cascade through the
-	// legacy code path: reports are byte-identical to pre-scheduler
-	// releases.
+	// Off runs every check through the fixed cheapest-to-most-precise
+	// tier order with no per-tier budgets; no planner is built.
 	Off Mode = iota
-	// Static routes every check through the planner but with the fixed
-	// default plan: same tier order, no per-tier budgets. It exists to
-	// exercise the scheduled code path deterministically.
-	Static
 	// Adaptive consults the profile: tiers that historically discharge
 	// checks with this feature signature run first under step budgets
 	// sized from past cost; tiers that historically never succeed are
@@ -44,10 +39,7 @@ const (
 
 // String names the mode as accepted by the -schedule flag.
 func (m Mode) String() string {
-	switch m {
-	case Static:
-		return "static"
-	case Adaptive:
+	if m == Adaptive {
 		return "adaptive"
 	}
 	return "off"
@@ -58,12 +50,10 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "off":
 		return Off, nil
-	case "static":
-		return Static, nil
 	case "adaptive":
 		return Adaptive, nil
 	}
-	return Off, fmt.Errorf("schedule: unknown mode %q (want off, static, or adaptive)", s)
+	return Off, fmt.Errorf("schedule: unknown mode %q (want off or adaptive)", s)
 }
 
 // Features are the static signals the planner sees for one check. They
@@ -133,6 +123,16 @@ type Plan struct {
 	Source string
 }
 
+// FixedPlan is the plan of the fixed cascade: the given tier order,
+// cheapest first, with no budgets.
+func FixedPlan(order []string) Plan {
+	return Plan{
+		Order:   append([]string(nil), order...),
+		Budgets: make([]int, len(order)),
+		Source:  "static",
+	}
+}
+
 // Key is a canonical string form of the plan, used to group checks that
 // share a schedule into one cascade run per tier.
 func (p Plan) Key() string {
@@ -159,10 +159,10 @@ const minAttempts = 4
 // hopeless tier stops early.
 const budgetHeadroom = 4
 
-// A Planner maps features to plans. It is immutable after construction
-// and safe for concurrent use from every analysis worker.
+// A Planner maps features to plans: it is the Adaptive mode. It is
+// immutable after construction and safe for concurrent use from every
+// analysis worker.
 type Planner struct {
-	mode Mode
 	// static is the fixed tier order, cheapest first, final tier last.
 	static []string
 	prof   *Profile
@@ -170,27 +170,20 @@ type Planner struct {
 
 // NewPlanner builds a planner over the cascade's static tier order
 // (cheapest first; the last entry is the final, authoritative domain).
-// prof may be nil: adaptive planning then degenerates to the static
-// order until a profile accumulates.
-func NewPlanner(mode Mode, static []string, prof *Profile) *Planner {
-	p := &Planner{mode: mode, static: append([]string(nil), static...), prof: prof}
+// prof may be nil: planning then degenerates to the static order until a
+// profile accumulates.
+func NewPlanner(static []string, prof *Profile) *Planner {
+	p := &Planner{static: append([]string(nil), static...), prof: prof}
 	if p.prof == nil {
 		p.prof = NewProfile()
 	}
 	return p
 }
 
-// Mode returns the planner's scheduling mode.
-func (p *Planner) Mode() Mode { return p.mode }
-
 // Plan decides the tier order and budgets for one check.
 func (p *Planner) Plan(f Features) Plan {
-	static := Plan{
-		Order:   append([]string(nil), p.static...),
-		Budgets: make([]int, len(p.static)),
-		Source:  "static",
-	}
-	if p.mode != Adaptive || len(p.static) < 2 {
+	static := FixedPlan(p.static)
+	if len(p.static) < 2 {
 		return static
 	}
 	stats := p.prof.Buckets[f.bucket()]

@@ -11,20 +11,21 @@ import (
 var tiers = []string{"interval", "zone", "polyhedra"}
 
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": Off, "off": Off, "static": Static, "adaptive": Adaptive} {
+	for s, want := range map[string]Mode{"": Off, "off": Off, "adaptive": Adaptive} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Errorf("ParseMode(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) succeeded")
+	for _, s := range []string{"static", "bogus"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Errorf("ParseMode(%q) succeeded", s)
+		}
 	}
 }
 
 func TestStaticPlan(t *testing.T) {
-	p := NewPlanner(Static, tiers, nil)
-	plan := p.Plan(Features{Kind: "pre", Vars: 4, Stmts: 10})
+	plan := FixedPlan(tiers)
 	if !reflect.DeepEqual(plan.Order, tiers) {
 		t.Errorf("static order = %v", plan.Order)
 	}
@@ -39,7 +40,7 @@ func TestStaticPlan(t *testing.T) {
 }
 
 func TestAdaptiveNoDataFallsBackToStatic(t *testing.T) {
-	p := NewPlanner(Adaptive, tiers, nil)
+	p := NewPlanner(tiers, nil)
 	plan := p.Plan(Features{Kind: "pre", Vars: 4, Stmts: 10})
 	if !reflect.DeepEqual(plan.Order, tiers) || plan.Source != "static" {
 		t.Errorf("no-data adaptive plan = %+v", plan)
@@ -53,7 +54,7 @@ func TestAdaptiveSkipsHopelessTierAndReordersByCost(t *testing.T) {
 	prof.Record(f, "interval", 10, 0, 500)
 	// zone: cheap and effective -> first, budgeted.
 	prof.Record(f, "zone", 10, 9, 90)
-	p := NewPlanner(Adaptive, tiers, prof)
+	p := NewPlanner(tiers, prof)
 	plan := p.Plan(f)
 	if !reflect.DeepEqual(plan.Order, []string{"zone", "polyhedra"}) {
 		t.Fatalf("order = %v", plan.Order)
@@ -79,7 +80,7 @@ func TestAdaptiveFinalTierAlwaysLast(t *testing.T) {
 	prof := NewProfile()
 	prof.Record(f, "interval", 8, 1, 800)
 	prof.Record(f, "zone", 8, 8, 16)
-	p := NewPlanner(Adaptive, tiers, prof)
+	p := NewPlanner(tiers, prof)
 	plan := p.Plan(f)
 	if plan.Order[len(plan.Order)-1] != "polyhedra" {
 		t.Fatalf("final tier not last: %v", plan.Order)
@@ -90,7 +91,7 @@ func TestAdaptiveFinalTierAlwaysLast(t *testing.T) {
 }
 
 func TestPlanKeyGroupsEqualPlans(t *testing.T) {
-	p := NewPlanner(Static, tiers, nil)
+	p := NewPlanner(tiers, nil)
 	a := p.Plan(Features{Kind: "pre", Stmts: 10, Vars: 3})
 	b := p.Plan(Features{Kind: "post", Stmts: 500, Vars: 40})
 	if a.Key() != b.Key() {

@@ -46,10 +46,9 @@ type RequestConfig struct {
 	Contracts string   `json:"contracts,omitempty"`
 	Cascade   bool     `json:"cascade,omitempty"`
 	Certify   bool     `json:"certify,omitempty"`
-	Octagon   bool     `json:"octagon,omitempty"`
-	// Schedule selects the cascade tier scheduler ("off", "static",
-	// "adaptive"); the profile directory stays server-owned (it lives
-	// under the server's cache directory).
+	// Schedule selects the cascade tier scheduler ("off" or "adaptive");
+	// the profile directory stays server-owned (it lives under the
+	// server's cache directory).
 	Schedule string `json:"schedule,omitempty"`
 
 	Stats         bool `json:"stats,omitempty"`
@@ -137,6 +136,15 @@ func (s *Server) limitBody(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// decodeBody decodes the JSON request body into v. Unknown fields are
+// an error, so a misspelled or retired knob is rejected instead of being
+// silently dropped and the request run with defaults.
+func decodeBody(r *http.Request, v any) error {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
+}
+
 // decodeError maps a body-decode failure to its HTTP status: 413 when
 // the body tripped the MaxBytesReader bound, 400 otherwise.
 func decodeError(w http.ResponseWriter, err error) {
@@ -162,7 +170,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.limitBody(w, r)
 		var req Request
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			decodeError(w, err)
 			return
 		}
@@ -175,7 +183,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		s.limitBody(w, r)
 		var req BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := decodeBody(r, &req); err != nil {
 			decodeError(w, err)
 			return
 		}
@@ -213,9 +221,8 @@ func (s *Server) analyze(req Request) Response {
 		Pointer:     c.Pointer,
 		Target:      target,
 		Contracts:   c.Contracts,
-		Cascade:     c.Cascade || c.Octagon || c.DumpReducedIP,
+		Cascade:     c.Cascade || c.DumpReducedIP,
 		Certify:     c.Certify,
-		Octagon:     c.Octagon,
 		Schedule:    c.Schedule,
 		Workers:     s.Workers,
 		CacheDir:    s.CacheDir,

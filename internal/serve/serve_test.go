@@ -106,6 +106,21 @@ func TestServeBatchAndErrors(t *testing.T) {
 		strings.NewReader("{not json")); err != nil || r.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: resp=%v err=%v", r, err)
 	}
+	// Unknown fields, such as the retired "octagon" knob, are rejected
+	// rather than silently dropped.
+	for path, body := range map[string]string{
+		"/v1/analyze": `{"filename": "x.c", "source": "void f(void) { }", "config": {"octagon": true}}`,
+		"/v1/batch":   `{"requests": [{"filename": "x.c", "source": "void f(void) { }", "config": {"octagon": true}}]}`,
+	} {
+		r, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Body.Close()
+		if r.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s with an unknown field: status %d, want 400", path, r.StatusCode)
+		}
+	}
 	if r, err := http.Get(ts.URL + "/v1/analyze"); err != nil || r.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET analyze: resp=%v err=%v", r, err)
 	}

@@ -1,10 +1,9 @@
 // Tests for the adaptive cascade scheduler's determinism contract:
-// scheduling moves cost, never verdicts, and the off mode is bit-for-bit
-// the pre-scheduler analyzer.
+// scheduling moves cost, never verdicts. TestCascadeGolden pins the off
+// mode's reports.
 package cssv
 
 import (
-	"bytes"
 	"fmt"
 	"reflect"
 	"testing"
@@ -16,54 +15,12 @@ var scheduleGoldens = []string{
 	"testdata/fixwrites/fixwrites.c",
 }
 
-// renderQuiet runs the file under cfg and renders the non-stats report,
-// which contains no timing and must be deterministic byte-for-byte.
-func renderQuiet(t *testing.T, path string, cfg Config) string {
-	t.Helper()
-	rep, err := AnalyzeFile(path, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	Render(&buf, rep, RenderOptions{Quiet: true, Target: "paper32"})
-	return buf.String()
-}
-
-// TestScheduleOffByteIdentical: the default and explicit "off" modes
-// must render byte-identical reports — the legacy cascade path untouched.
-func TestScheduleOffByteIdentical(t *testing.T) {
-	for _, path := range scheduleGoldens {
-		t.Run(path, func(t *testing.T) {
-			legacy := renderQuiet(t, path, Config{Cascade: true})
-			off := renderQuiet(t, path, Config{Cascade: true, Schedule: "off"})
-			if legacy != off {
-				t.Errorf("-schedule off report differs from the legacy cascade:\nlegacy:\n%s\noff:\n%s", legacy, off)
-			}
-		})
-	}
-}
-
-// TestScheduleStaticMatchesOff: the scheduled path under the static plan
-// follows the same tier order on the same residuals, so the rendered
-// report must match the legacy cascade byte for byte.
-func TestScheduleStaticMatchesOff(t *testing.T) {
-	for _, path := range scheduleGoldens {
-		t.Run(path, func(t *testing.T) {
-			off := renderQuiet(t, path, Config{Cascade: true})
-			static := renderQuiet(t, path, Config{Cascade: true, Schedule: "static"})
-			if off != static {
-				t.Errorf("static schedule changed the report:\noff:\n%s\nstatic:\n%s", off, static)
-			}
-		})
-	}
-}
-
-// TestScheduleAdaptiveParallelDeterminism: adaptive scheduling must not
+// TestScheduleAdaptiveParallelDeterminism: neither schedule mode may
 // introduce worker-count dependence — a sequential and an 8-way run
 // produce deep-equal reports once cost measurements are stripped.
 func TestScheduleAdaptiveParallelDeterminism(t *testing.T) {
 	for _, path := range scheduleGoldens {
-		for _, mode := range []string{"static", "adaptive"} {
+		for _, mode := range []string{"off", "adaptive"} {
 			t.Run(fmt.Sprintf("%s/%s", path, mode), func(t *testing.T) {
 				seq, err := AnalyzeFile(path, Config{Workers: 1, Cascade: true, Schedule: mode})
 				if err != nil {
@@ -102,7 +59,7 @@ func TestScheduleAdaptiveDischargesNoLess(t *testing.T) {
 					continue
 				}
 				total++
-				if c.Tier == "interval" || c.Tier == "zone" || c.Tier == "octagon" {
+				if c.Tier == "interval" || c.Tier == "zone" {
 					cheap++
 				}
 			}
