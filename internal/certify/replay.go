@@ -140,11 +140,18 @@ type ReplayRequest struct {
 // violated assert is the target exists within the search budget, potential
 // otherwise.
 func Replay(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) CheckResult {
+	r, _ := ReplayDirected(p, req, opts)
+	return r
+}
+
+// ReplayDirected is Replay that also returns the directed search it ran
+// (the zero result for an unverifiable condition, which is not searched).
+func ReplayDirected(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) (CheckResult, ip.DirectedResult) {
 	r := CheckResult{Index: req.Index, Pos: req.Pos, Msg: req.Msg, Tier: req.Tier}
 	if req.Unverifiable {
 		r.Status = StatusPotential
 		r.Detail = "condition not expressible in linear arithmetic"
-		return r
+		return r, ip.DirectedResult{}
 	}
 	hints := map[int]*big.Int{}
 	for _, name := range sortedNames(req.Hints) {
@@ -164,7 +171,7 @@ func Replay(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) CheckResu
 		r.Status = StatusWitnessed
 		r.TraceLen = len(dr.Trace)
 		r.Detail = "concrete trace replays the violation"
-		return r
+		return r, dr
 	}
 	r.Status = StatusPotential
 	if dr.Truncated {
@@ -174,7 +181,7 @@ func Replay(p *ip.Program, req ReplayRequest, opts ip.DirectedOptions) CheckResu
 		// does not prove absence — only that no witness was found.
 		r.Detail = "directed search found no witness over its candidate values"
 	}
-	return r
+	return r, dr
 }
 
 // seedValues extends the directed interpreter's global candidate pool with
@@ -186,7 +193,7 @@ func seedValues(values []int64, hints map[int]*big.Int) []int64 {
 		return values
 	}
 	if values == nil {
-		values = []int64{0, 1, -1, 2} // ip.DirectedOptions default
+		values = ip.DefaultValues()
 	}
 	out := append([]int64(nil), values...)
 	seen := map[int64]bool{}

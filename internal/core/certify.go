@@ -18,15 +18,8 @@ func certifyProc(p *ip.Program, certs []*certify.Certificate,
 	viols []analysis.Violation, tierOf map[int]string) *certify.Outcome {
 	results := certify.VerifyAll(certs)
 	for _, v := range viols {
-		req := certify.ReplayRequest{
-			Index: v.Index, Pos: v.Pos, Msg: v.Msg,
-			Tier:         tierOf[v.Index],
-			Unverifiable: v.Unverifiable,
-		}
-		if v.CounterExampleIntegral {
-			req.Hints = v.CounterExample
-		}
-		results = append(results, certify.Replay(p, req, ip.DirectedOptions{}))
+		r, _ := replayViolation(p, v, tierOf[v.Index])
+		results = append(results, r)
 	}
 	sort.SliceStable(results, func(i, j int) bool {
 		if results[i].Index != results[j].Index {
@@ -39,4 +32,19 @@ func certifyProc(p *ip.Program, certs []*certify.Certificate,
 		out.Add(r)
 	}
 	return out
+}
+
+// replayViolation classifies one reported violation by directed replay of
+// p, seeded with its integral counter-example. It also returns the search
+// itself, so tests can pin the steps and trace of every corpus replay.
+func replayViolation(p *ip.Program, v analysis.Violation, tier string) (certify.CheckResult, ip.DirectedResult) {
+	req := certify.ReplayRequest{
+		Index: v.Index, Pos: v.Pos, Msg: v.Msg,
+		Tier:         tier,
+		Unverifiable: v.Unverifiable,
+	}
+	if v.CounterExampleIntegral {
+		req.Hints = v.CounterExample
+	}
+	return certify.ReplayDirected(p, req, ip.DirectedOptions{})
 }

@@ -1,10 +1,12 @@
 package ip
 
 import (
+	"math"
 	"math/big"
 	"sort"
 
 	"repro/internal/linear"
+	"repro/internal/numkernel"
 )
 
 // DirectedOptions tunes the deterministic directed interpreter.
@@ -16,9 +18,13 @@ type DirectedOptions struct {
 	Budget int
 	// Values are the candidate values tried, in order, for havocs and for
 	// variables read before being written (after any per-variable hint).
-	// Default: 0, 1, -1, 2.
+	// Default: DefaultValues().
 	Values []int64
 }
+
+// DefaultValues returns the candidate pool ExecDirected tries when
+// DirectedOptions.Values is nil: 0, 1, -1, 2.
+func DefaultValues() []int64 { return []int64{0, 1, -1, 2} }
 
 func (o *DirectedOptions) fill() {
 	if o.MaxDepth <= 0 {
@@ -28,7 +34,7 @@ func (o *DirectedOptions) fill() {
 		o.Budget = 200000
 	}
 	if o.Values == nil {
-		o.Values = []int64{0, 1, -1, 2}
+		o.Values = DefaultValues()
 	}
 }
 
@@ -40,7 +46,8 @@ type DirectedResult struct {
 	// Trace is the statement-index sequence of the found execution.
 	Trace []int
 	// Truncated reports that the search space was not exhausted (budget or
-	// depth limit hit), so Found == false is inconclusive.
+	// depth limit hit, or a value left the int64 range), so Found == false
+	// is inconclusive.
 	Truncated bool
 	// Steps counts the statements executed across all explored paths.
 	Steps int
@@ -55,276 +62,571 @@ type DirectedResult struct {
 // assume held, every earlier assert passed, and the target's condition
 // evaluated false on integer values.
 //
+// The program is compiled once per call into a dense form and searched
+// over int64 values with overflow-checked arithmetic. The int64 range is a
+// search bound like depth and budget: a program coefficient or constant
+// outside it stops the search before it starts, a candidate outside it is
+// dropped, and an evaluation that overflows ends its path; each reports
+// Truncated. Every value on a found trace was computed exactly, so Found
+// still means a genuine trace in integer arithmetic.
+//
 // hints maps variable indices to preferred values (typically the analysis
 // counter-example); they are tried first at every choice point for that
 // variable. The search is fully deterministic: identical inputs explore
 // identical trees.
 func (p *Program) ExecDirected(target int, hints map[int]*big.Int, opts DirectedOptions) DirectedResult {
 	opts.fill()
-	res := DirectedResult{}
 	if err := p.Resolve(); err != nil {
-		return res
+		return DirectedResult{}
 	}
 	if target < 0 || target >= len(p.Stmts) {
-		return res
+		return DirectedResult{}
 	}
 	if _, ok := p.Stmts[target].(*Assert); !ok {
-		return res
+		return DirectedResult{}
+	}
+	prog, ok := compileDirected(p)
+	if !ok {
+		return DirectedResult{Truncated: true}
 	}
 
-	env := make([]*big.Int, p.NumVars())
-	var trace []int
-
-	// candidates lists the values tried for v, in order: the hint, values
-	// solved from the constraints the binding must satisfy, the generic
-	// pool.
-	candidates := func(v int, solved []*big.Int) []*big.Int {
-		var out []*big.Int
-		seen := map[string]bool{}
-		add := func(x *big.Int) {
-			if x == nil || seen[x.String()] {
-				return
-			}
-			seen[x.String()] = true
-			out = append(out, x)
+	n := p.NumVars()
+	s := &directedSearch{
+		prog:    prog,
+		target:  target,
+		opts:    opts,
+		hint:    make([]int64, n),
+		hinted:  make([]bool, n),
+		val:     make([]int64, n),
+		defined: make([]bool, n),
+	}
+	for _, x := range opts.Values {
+		if !containsInt64(s.pool, x) {
+			s.pool = append(s.pool, x)
 		}
-		add(hints[v])
-		for _, x := range solved {
-			add(x)
+	}
+	for v, h := range hints {
+		if v < 0 || v >= n || h == nil {
+			continue
 		}
-		for _, k := range opts.Values {
-			add(big.NewInt(k))
+		if !h.IsInt64() {
+			s.res.Truncated = true // dropped: beyond the search's range
+			continue
 		}
-		return out
+		s.hint[v], s.hinted[v] = h.Int64(), true
 	}
 
-	// solveFor derives candidate values for v from the constraints of d in
-	// which v is the only unbound variable: the exact solution of an
-	// equality, and the boundary of an inequality together with its
-	// just-violating neighbor (boundaries are where asserts tip over).
-	// Without this, assume(x = 4) deadends unless 4 happens to be in the
-	// generic pool.
-	solveFor := func(d DNF, v int, env []*big.Int) []*big.Int {
-		var out []*big.Int
-		for _, conj := range d {
-			for _, c := range conj {
-				k := c.E.Coef(v)
-				if k.Sign() == 0 {
-					continue
-				}
-				single := true
-				for _, u := range c.E.Vars() {
-					if u != v && env[u] == nil {
-						single = false
-						break
-					}
-				}
-				if !single {
-					continue
-				}
-				// c.E = k*x + rest; env[v] == nil, so Eval yields rest.
-				a := new(big.Int).Neg(c.E.Eval(env)) // solve k*x = a
-				if c.Rel == linear.Eq {
-					q, r := new(big.Int).QuoRem(a, k, new(big.Int))
-					if r.Sign() == 0 {
-						out = append(out, q)
-					}
-					continue
-				}
-				// k*x >= a: tightest x is ceil(a/k) for k > 0 and
-				// floor(a/k) for k < 0 (big.Int.Div floors for a positive
-				// divisor).
-				var b *big.Int
-				if k.Sign() > 0 {
-					num := new(big.Int).Add(a, k)
-					num.Sub(num, big.NewInt(1))
-					b = num.Div(num, k)
-					out = append(out, b, new(big.Int).Sub(b, big.NewInt(1)))
-				} else {
-					num := new(big.Int).Neg(a)
-					b = num.Div(num, new(big.Int).Neg(k))
-					out = append(out, b, new(big.Int).Add(b, big.NewInt(1)))
-				}
-			}
-		}
-		return out
+	s.run(0, 0)
+	if s.res.Found {
+		s.res.Truncated = false
 	}
+	return s.res
+}
 
-	// stmtSolved derives candidate values for binding v before executing
-	// the statement, from every constraint set the statement evaluates.
-	stmtSolved := func(s Stmt, v int, env []*big.Int) []*big.Int {
-		switch s := s.(type) {
+// ---------------------------------------------------------------------------
+// Compiled form
+
+type dop uint8
+
+const (
+	dLabel dop = iota
+	dAssign
+	dHavoc
+	dAssume
+	dAssert
+	dGoto
+	dIfGoto
+)
+
+// dterm is one k*x_v term of a compiled expression.
+type dterm struct {
+	v int
+	k int64
+}
+
+// dcons is a compiled constraint sum(terms) + c {==, >=} 0, or an
+// assigned expression (eq unused). Terms are sorted by variable.
+type dcons struct {
+	terms []dterm
+	c     int64
+	eq    bool
+}
+
+// ddnf is a compiled DNF. vars is the sorted union of the variables of
+// every constraint; taut records that the condition is syntactically true
+// (DNF.IsTrue), which short-circuits evaluation but not variable binding.
+type ddnf struct {
+	conjs [][]dcons
+	vars  []int
+	taut  bool
+}
+
+// dstmt is one compiled statement, tagged by op.
+type dstmt struct {
+	op dop
+	// v is the assigned or havocked variable.
+	v int
+	// expr is the assigned expression.
+	expr dcons
+	// cond is the assume/assert condition or the IfGoto branch condition;
+	// fall is the IfGoto fall-through condition.
+	cond, fall ddnf
+	// nondet marks an IfGoto on "unknown"; unverifiable an Assert whose
+	// condition is not linear.
+	nondet, unverifiable bool
+	// target is the resolved Goto/IfGoto statement index.
+	target int
+	// next is the condition of the Assume right after a Havoc, or nil.
+	next *ddnf
+}
+
+// compileDirected translates the resolved program; ok == false reports a
+// coefficient or constant outside int64.
+func compileDirected(p *Program) ([]dstmt, bool) {
+	out := make([]dstmt, len(p.Stmts))
+	for i, st := range p.Stmts {
+		d := &out[i]
+		ok := true
+		switch st := st.(type) {
+		case *Assign:
+			d.op, d.v = dAssign, st.V
+			d.expr, ok = compileExpr(st.E)
+		case *Havoc:
+			d.op, d.v = dHavoc, st.V
 		case *Assume:
-			return solveFor(s.C, v, env)
+			d.op = dAssume
+			d.cond, ok = compileDNF(st.C)
 		case *Assert:
-			return solveFor(s.C, v, env)
+			d.op, d.unverifiable = dAssert, st.Unverifiable
+			d.cond, ok = compileDNF(st.C)
+		case *Goto:
+			d.op, d.target = dGoto, p.TargetOf(st.Target)
 		case *IfGoto:
-			out := solveFor(s.C, v, env)
-			return append(out, solveFor(s.FallthroughCond(), v, env)...)
+			d.op, d.target = dIfGoto, p.TargetOf(st.Target)
+			if st.C == nil {
+				d.nondet = true
+				break
+			}
+			var ok2 bool
+			d.cond, ok = compileDNF(st.C)
+			d.fall, ok2 = compileDNF(st.FallthroughCond())
+			ok = ok && ok2
+		default: // *Label
+			d.op = dLabel
 		}
-		return nil
+		if !ok {
+			return nil, false
+		}
 	}
+	for i := range out {
+		if out[i].op == dHavoc && i+1 < len(out) && out[i+1].op == dAssume {
+			out[i].next = &out[i+1].cond
+		}
+	}
+	return out, true
+}
 
-	// undefinedVar returns the first variable of e (in index order) that
-	// has no value yet, or -1.
-	undefinedVar := func(e interface{ Vars() []int }) int {
-		vs := e.Vars()
-		sort.Ints(vs)
-		for _, v := range vs {
-			if env[v] == nil {
-				return v
+func compileExpr(e linear.Expr) (dcons, bool) {
+	var d dcons
+	if e.Const != nil {
+		if !e.Const.IsInt64() {
+			return d, false
+		}
+		d.c = e.Const.Int64()
+	}
+	vs := e.Vars() // sorted
+	d.terms = make([]dterm, len(vs))
+	for i, v := range vs {
+		k := e.Coef(v)
+		if !k.IsInt64() {
+			return d, false
+		}
+		d.terms[i] = dterm{v: v, k: k.Int64()}
+	}
+	return d, true
+}
+
+func compileDNF(dnf DNF) (ddnf, bool) {
+	d := ddnf{taut: dnf.IsTrue(), conjs: make([][]dcons, len(dnf))}
+	for i, conj := range dnf {
+		d.conjs[i] = make([]dcons, len(conj))
+		for j, c := range conj {
+			dc, ok := compileExpr(c.E)
+			if !ok {
+				return d, false
+			}
+			dc.eq = c.Rel == linear.Eq
+			d.conjs[i][j] = dc
+			for _, t := range dc.terms {
+				d.vars = append(d.vars, t.v)
 			}
 		}
-		return -1
 	}
-	undefinedInDNF := func(d DNF) int {
-		best := -1
-		for _, conj := range d {
-			for _, c := range conj {
-				if v := undefinedVar(c.E); v >= 0 && (best < 0 || v < best) {
-					best = v
-				}
-			}
+	sort.Ints(d.vars)
+	w := 0
+	for i, v := range d.vars {
+		if i == 0 || v != d.vars[w-1] {
+			d.vars[w] = v
+			w++
 		}
-		return best
 	}
+	d.vars = d.vars[:w]
+	return d, true
+}
 
-	type status int
-	const (
-		deadend status = iota
-		found
-		exhausted // budget ran out: abort the whole search
-	)
+// ---------------------------------------------------------------------------
+// Search
 
-	var run func(pc, depth int) status
-	// withValue binds env[v] = val for the recursive continuation.
-	withValue := func(v int, val *big.Int, cont func() status) status {
-		old := env[v]
-		env[v] = val
-		st := cont()
-		env[v] = old
-		return st
+type searchStatus uint8
+
+const (
+	deadend   searchStatus = iota
+	found                  // the target was witnessed
+	exhausted              // budget ran out: abort the whole search
+)
+
+// directedSearch is the state of one ExecDirected call. The environment
+// is val (meaningful where defined is set); candidate lists of the open
+// choice points share the cands stack, each truncated back when its
+// choice point returns.
+type directedSearch struct {
+	prog    []dstmt
+	target  int
+	opts    DirectedOptions
+	pool    []int64 // opts.Values without duplicates
+	hint    []int64
+	hinted  []bool
+	val     []int64
+	defined []bool
+	trace   []int
+	cands   []int64
+	res     DirectedResult
+}
+
+func (s *directedSearch) run(pc, depth int) searchStatus {
+	if pc >= len(s.prog) {
+		return deadend // normal exit: no violation on this path
 	}
-	// choose tries every candidate value for v before re-running pc.
-	choose := func(v, pc, depth int) status {
-		for _, val := range candidates(v, stmtSolved(p.Stmts[pc], v, env)) {
-			st := withValue(v, val, func() status { return run(pc, depth) })
-			if st != deadend {
-				return st
-			}
-		}
+	if depth >= s.opts.MaxDepth {
+		s.res.Truncated = true
 		return deadend
 	}
-
-	// needsVar returns the first variable the statement reads that has no
-	// value yet, or -1.
-	needsVar := func(s Stmt) int {
-		switch s := s.(type) {
-		case *Assign:
-			return undefinedVar(s.E)
-		case *Assume:
-			return undefinedInDNF(s.C)
-		case *Assert:
-			if s.Unverifiable {
-				return -1
-			}
-			return undefinedInDNF(s.C)
-		case *IfGoto:
-			if v := undefinedInDNF(s.C); v >= 0 {
-				return v
-			}
-			return undefinedInDNF(s.FallthroughCond())
-		}
-		return -1
+	if s.res.Steps >= s.opts.Budget {
+		s.res.Truncated = true
+		return exhausted
 	}
+	st := &s.prog[pc]
+	// Bind every undefined variable the statement reads before executing
+	// it (initial values are lazy choice points).
+	if v := s.needsVar(st); v >= 0 {
+		return s.choose(v, st, pc, depth)
+	}
+	s.res.Steps++
+	s.trace = append(s.trace, pc)
+	r := s.exec(st, pc, depth)
+	s.trace = s.trace[:len(s.trace)-1]
+	return r
+}
 
-	run = func(pc, depth int) status {
-		if pc >= len(p.Stmts) {
-			return deadend // normal exit: no violation on this path
+// exec executes the statement at pc, whose variables are all bound.
+func (s *directedSearch) exec(st *dstmt, pc, depth int) searchStatus {
+	switch st.op {
+	case dAssign:
+		x, ok := s.eval(&st.expr, -1)
+		if !ok {
+			return s.overflow()
 		}
-		if depth >= opts.MaxDepth {
-			res.Truncated = true
-			return deadend
+		return s.runWith(st.v, x, pc+1, depth+1)
+	case dHavoc:
+		// Havocked variables are typically constrained by the assume that
+		// follows (x := unknown; assume(...)): solve it for st.v, unbound,
+		// so the candidates include the values that matter.
+		v := st.v
+		base := len(s.cands)
+		wasDefined := s.defined[v]
+		s.defined[v] = false
+		s.pushHint(v)
+		if st.next != nil {
+			s.solveFor(st.next, v, base)
 		}
-		if res.Steps >= opts.Budget {
-			res.Truncated = true
-			return exhausted
+		s.defined[v] = wasDefined
+		s.pushPool(base)
+		r := deadend
+		for i := base; i < len(s.cands) && r == deadend; i++ {
+			r = s.runWith(v, s.cands[i], pc+1, depth+1)
 		}
-		// Bind every undefined variable the statement reads before
-		// executing it (initial values are lazy choice points).
-		if v := needsVar(p.Stmts[pc]); v >= 0 {
-			return choose(v, pc, depth)
+		s.cands = s.cands[:base]
+		return r
+	case dAssume:
+		h, ok := s.holds(&st.cond)
+		if !ok {
+			return s.overflow()
 		}
-		res.Steps++
-		trace = append(trace, pc)
-		defer func() { trace = trace[:len(trace)-1] }()
+		if !h {
+			return deadend // blocked
+		}
+		return s.run(pc+1, depth+1)
+	case dAssert:
+		violated := st.unverifiable
+		if !violated {
+			h, ok := s.holds(&st.cond)
+			if !ok {
+				return s.overflow()
+			}
+			violated = !h
+		}
+		if violated {
+			if pc == s.target && !st.unverifiable {
+				s.res.Found = true
+				s.res.Trace = append([]int(nil), s.trace...)
+				return found
+			}
+			return deadend // first error is a different assert: halt
+		}
+		return s.run(pc+1, depth+1)
+	case dGoto:
+		return s.run(st.target, depth+1)
+	case dIfGoto:
+		if st.nondet {
+			// Nondeterministic branch: taken edge first, then the
+			// fall-through.
+			if r := s.run(st.target, depth+1); r != deadend {
+				return r
+			}
+			return s.run(pc+1, depth+1)
+		}
+		h, ok := s.holds(&st.cond)
+		if !ok {
+			return s.overflow()
+		}
+		if h {
+			return s.run(st.target, depth+1)
+		}
+		if h, ok = s.holds(&st.fall); !ok {
+			return s.overflow()
+		}
+		if !h {
+			return deadend // infeasible fall-through: blocked
+		}
+		return s.run(pc+1, depth+1)
+	default: // dLabel
+		return s.run(pc+1, depth+1)
+	}
+}
 
-		next := func() status { return run(pc+1, depth+1) }
+// overflow ends a path whose evaluation left the int64 range.
+func (s *directedSearch) overflow() searchStatus {
+	s.res.Truncated = true
+	return deadend
+}
 
-		switch s := p.Stmts[pc].(type) {
-		case *Assign:
-			return withValue(s.V, s.E.Eval(env), next)
-		case *Havoc:
-			// Havocked variables are typically constrained by the assume
-			// that follows (x := unknown; assume(...)): solve it for s.V so
-			// the candidates include the values that matter.
-			var solved []*big.Int
-			if pc+1 < len(p.Stmts) {
-				if a, ok := p.Stmts[pc+1].(*Assume); ok {
-					old := env[s.V]
-					env[s.V] = nil
-					solved = solveFor(a.C, s.V, env)
-					env[s.V] = old
-				}
+// runWith binds v to x for the continuation at pc and restores the old
+// binding afterwards.
+func (s *directedSearch) runWith(v int, x int64, pc, depth int) searchStatus {
+	oldVal, oldDefined := s.val[v], s.defined[v]
+	s.val[v], s.defined[v] = x, true
+	r := s.run(pc, depth)
+	s.val[v], s.defined[v] = oldVal, oldDefined
+	return r
+}
+
+// choose tries every candidate value for the unbound v before re-running
+// pc.
+func (s *directedSearch) choose(v int, st *dstmt, pc, depth int) searchStatus {
+	base := len(s.cands)
+	s.pushHint(v)
+	switch st.op {
+	case dAssume, dAssert:
+		s.solveFor(&st.cond, v, base)
+	case dIfGoto:
+		s.solveFor(&st.cond, v, base)
+		s.solveFor(&st.fall, v, base)
+	}
+	s.pushPool(base)
+	r := deadend
+	for i := base; i < len(s.cands) && r == deadend; i++ {
+		s.val[v], s.defined[v] = s.cands[i], true
+		r = s.run(pc, depth)
+	}
+	s.defined[v] = false
+	s.cands = s.cands[:base]
+	return r
+}
+
+// needsVar returns the first variable the statement reads that has no
+// value yet, or -1.
+func (s *directedSearch) needsVar(st *dstmt) int {
+	switch st.op {
+	case dAssign:
+		for _, t := range st.expr.terms {
+			if !s.defined[t.v] {
+				return t.v
 			}
-			for _, val := range candidates(s.V, solved) {
-				if st := withValue(s.V, val, next); st != deadend {
-					return st
-				}
-			}
-			return deadend
-		case *Assume:
-			if !evalDNF(s.C, env) {
-				return deadend // blocked
-			}
-			return next()
-		case *Assert:
-			violated := s.Unverifiable || !evalDNF(s.C, env)
-			if violated {
-				if pc == target && !s.Unverifiable {
-					res.Found = true
-					res.Trace = append([]int(nil), trace...)
-					return found
-				}
-				return deadend // first error is a different assert: halt
-			}
-			return next()
-		case *Goto:
-			return run(p.TargetOf(s.Target), depth+1)
-		case *IfGoto:
-			if s.C == nil {
-				// Nondeterministic branch: taken edge first, then the
-				// fall-through.
-				if st := run(p.TargetOf(s.Target), depth+1); st != deadend {
-					return st
-				}
-				return next()
-			}
-			if evalDNF(s.C, env) {
-				return run(p.TargetOf(s.Target), depth+1)
-			}
-			if !evalDNF(s.FallthroughCond(), env) {
-				return deadend // infeasible fall-through: blocked
-			}
-			return next()
-		default: // *Label
-			return next()
+		}
+	case dAssume:
+		return s.firstUndefined(st.cond.vars)
+	case dAssert:
+		if !st.unverifiable {
+			return s.firstUndefined(st.cond.vars)
+		}
+	case dIfGoto:
+		if v := s.firstUndefined(st.cond.vars); v >= 0 {
+			return v
+		}
+		return s.firstUndefined(st.fall.vars)
+	}
+	return -1
+}
+
+func (s *directedSearch) firstUndefined(vars []int) int {
+	for _, v := range vars {
+		if !s.defined[v] {
+			return v
 		}
 	}
+	return -1
+}
 
-	run(0, 0)
-	if res.Found {
-		res.Truncated = false
+// The candidates of a choice point, in order, are the hint, the values
+// solved from the constraints the binding must satisfy, and the pool,
+// each kept only on its first occurrence in cands[base:].
+
+func (s *directedSearch) pushHint(v int) {
+	if s.hinted[v] {
+		s.cands = append(s.cands, s.hint[v])
 	}
-	return res
+}
+
+func (s *directedSearch) pushCand(x int64, base int) {
+	if !containsInt64(s.cands[base:], x) {
+		s.cands = append(s.cands, x)
+	}
+}
+
+func (s *directedSearch) pushPool(base int) {
+	solved := len(s.cands)
+	for _, x := range s.pool {
+		if !containsInt64(s.cands[base:solved], x) {
+			s.cands = append(s.cands, x)
+		}
+	}
+}
+
+// solveFor pushes candidate values for the unbound v from the constraints
+// of d in which v is the only unbound variable: the exact solution of an
+// equality, and the boundary of an inequality together with its
+// just-violating neighbor (boundaries are where asserts tip over).
+// Without this, assume(x = 4) deadends unless 4 happens to be in the
+// pool. A solution outside int64 is dropped and marks the search
+// Truncated.
+func (s *directedSearch) solveFor(d *ddnf, v, base int) {
+	for _, conj := range d.conjs {
+		for i := range conj {
+			c := &conj[i]
+			var k int64
+			single := true
+			for _, t := range c.terms {
+				if t.v == v {
+					k = t.k
+				} else if !s.defined[t.v] {
+					single = false
+					break
+				}
+			}
+			if k == 0 || !single {
+				continue
+			}
+			// c = k*x + rest; solve k*x = a with a = -rest.
+			rest, ok := s.eval(c, v)
+			var a int64
+			if ok {
+				a, ok = numkernel.NegOK(rest)
+			}
+			if !ok || a == math.MinInt64 && k == -1 {
+				s.res.Truncated = true
+				continue
+			}
+			q, r := a/k, a%k
+			if c.eq {
+				if r == 0 {
+					s.pushCand(q, base)
+				}
+				continue
+			}
+			// k*x >= a: the tightest x is ceil(a/k) for k > 0 and
+			// floor(a/k) for k < 0; its neighbor one step past violates.
+			var next int64
+			if k > 0 {
+				if r > 0 {
+					q++
+				}
+				next, ok = numkernel.SubOK(q, 1)
+			} else {
+				if r > 0 {
+					q--
+				}
+				next, ok = numkernel.AddOK(q, 1)
+			}
+			s.pushCand(q, base)
+			if !ok {
+				s.res.Truncated = true
+				continue
+			}
+			s.pushCand(next, base)
+		}
+	}
+}
+
+// eval evaluates e, less its term in skip (-1 for none), at the current
+// environment, which binds every other variable of e; ok == false reports
+// an int64 overflow.
+func (s *directedSearch) eval(e *dcons, skip int) (int64, bool) {
+	r := e.c
+	for _, t := range e.terms {
+		if t.v == skip {
+			continue
+		}
+		p, ok := numkernel.MulOK(t.k, s.val[t.v])
+		if !ok {
+			return 0, false
+		}
+		if r, ok = numkernel.AddOK(r, p); !ok {
+			return 0, false
+		}
+	}
+	return r, true
+}
+
+// holds evaluates d at the current environment; ok == false reports an
+// int64 overflow.
+func (s *directedSearch) holds(d *ddnf) (h, ok bool) {
+	if d.taut {
+		return true, true
+	}
+	for _, conj := range d.conjs {
+		all := true
+		for i := range conj {
+			x, ok := s.eval(&conj[i], -1)
+			if !ok {
+				return false, false
+			}
+			if conj[i].eq && x != 0 || !conj[i].eq && x < 0 {
+				all = false
+				break
+			}
+		}
+		if all {
+			return true, true
+		}
+	}
+	return false, true
+}
+
+func containsInt64(xs []int64, x int64) bool {
+	for _, y := range xs {
+		if y == x {
+			return true
+		}
+	}
+	return false
 }

@@ -102,9 +102,13 @@ func TestServeBatchAndErrors(t *testing.T) {
 		t.Errorf("batch result 1 should be a parse failure: %+v", resp.Results[1])
 	}
 
-	if r, err := http.Post(ts.URL+"/v1/analyze", "application/json",
-		strings.NewReader("{not json")); err != nil || r.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body: resp=%v err=%v", r, err)
+	r, err := http.Post(ts.URL+"/v1/analyze", "application/json", strings.NewReader("{not json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusBadRequest {
+		t.Errorf("malformed body: status %d, want 400", r.StatusCode)
 	}
 	// Unknown fields, such as the retired "octagon" knob, are rejected
 	// rather than silently dropped.
@@ -121,8 +125,13 @@ func TestServeBatchAndErrors(t *testing.T) {
 			t.Errorf("%s with an unknown field: status %d, want 400", path, r.StatusCode)
 		}
 	}
-	if r, err := http.Get(ts.URL + "/v1/analyze"); err != nil || r.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET analyze: resp=%v err=%v", r, err)
+	r, err = http.Get(ts.URL + "/v1/analyze")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusMethodNotAllowed {
+		t.Errorf("GET analyze: status %d, want 405", r.StatusCode)
 	}
 
 	// Rejected HTTP requests never reach the analyzer: only the two
